@@ -15,11 +15,11 @@ import numpy as np
 
 from ..classifiers.linear_svm import LinearSVM
 from ..classifiers.logistic import LogisticRegression
+from ..core.bitset import PatternCovers, unpack_bits
 from ..datasets.transactions import TransactionDataset
 from ..features.pipeline import FrequentPatternClassifier
 from ..measures.contingency import batch_pattern_stats
 from ..measures.information_gain import information_gain
-from ..mining.closed import occurrence_matrix
 
 __all__ = ["PatternSummary", "summarize_patterns", "feature_weights", "coverage_overlap"]
 
@@ -114,14 +114,11 @@ def coverage_overlap(
     MMRFS's redundancy term penalizes exactly these overlaps; a healthy
     selection has a low off-diagonal mean.
     """
-    patterns = pipeline.selected_patterns
-    n = len(patterns)
-    if n == 0:
-        return np.zeros((0, 0))
-    matrix = occurrence_matrix(data.transactions, n_items=data.n_items)
-    coverage = np.stack(
-        [matrix[:, list(p.items)].all(axis=1) for p in patterns]
-    ).astype(np.float64)
+    covers = PatternCovers(
+        [p.items for p in pipeline.selected_patterns], data.n_items
+    )
+    coverage = unpack_bits(covers.words(data.item_bits()), data.n_rows)
+    coverage = coverage.astype(np.float64)
     intersection = coverage @ coverage.T
     sizes = coverage.sum(axis=1)
     union = sizes[:, np.newaxis] + sizes[np.newaxis, :] - intersection

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..core.bitset import PatternCovers, unpack_bits
 from ..datasets.transactions import TransactionDataset
 from ..measures.contingency import batch_pattern_stats
 from ..mining.generation import mine_class_patterns
@@ -52,17 +53,8 @@ def rule_matches(
     rules: list[ClassAssociationRule], data: TransactionDataset
 ) -> np.ndarray:
     """Boolean matrix (n_rules, n_rows): rule antecedent ⊆ transaction."""
-    from ..mining.closed import occurrence_matrix
-
-    matrix = occurrence_matrix(data.transactions, n_items=data.n_items)
-    result = np.zeros((len(rules), data.n_rows), dtype=bool)
-    for index, rule in enumerate(rules):
-        items = list(rule.antecedent)
-        if items:
-            result[index] = matrix[:, items].all(axis=1)
-        else:
-            result[index] = True
-    return result
+    covers = PatternCovers([rule.antecedent for rule in rules], data.n_items)
+    return unpack_bits(covers.words(data.item_bits()), data.n_rows)
 
 
 def mine_cars(

@@ -1386,6 +1386,10 @@ def _run_traced(args: argparse.Namespace, argv: list[str] | None) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "condense", False) and args.shard_rows is None:
+        # --condense only changes the sharded counting pass; accepting it
+        # alone would alter the run fingerprint and nothing else.
+        parser.error("--condense requires --shard-rows")
     if getattr(args, "trace", None):
         return _run_traced(args, argv)
     return args.handler(args)

@@ -20,6 +20,13 @@ never see garbage bits.
 which makes pattern coverage an AND-reduction over item masks and support
 a popcount — the classic vertical-format trick of Eclat/CHARM, applied
 here to the paper's feature-construction stage as well.
+
+:class:`PatternCovers` is the one kernel that turns a *set* of patterns
+into their coverage masks and per-class counts — the mapping D -> D' of
+the paper's Section 2 and the contingency tables every measure reads.
+Contingency batching, feature construction, MMRFS, support recounting,
+sharded and streaming counting and the compiled serving matcher all go
+through it; single-pattern lookups use :meth:`BitMatrix.and_reduce`.
 """
 
 from __future__ import annotations
@@ -40,6 +47,8 @@ __all__ = [
     "intersection_counts",
     "packed_ones",
     "scatter_bits",
+    "PatternCovers",
+    "cover_class_counts",
 ]
 
 WORD_BITS = 64
@@ -51,6 +60,9 @@ _POPCOUNT8 = np.unpackbits(
     np.arange(256, dtype=np.uint8)[:, np.newaxis], axis=1
 ).sum(axis=1).astype(np.int64)
 _BITWISE_COUNT = getattr(np, "bitwise_count", None)
+#: Patterns per kernel block: bounds the ``(block, length, n_words)``
+#: gather and the ``(block, n_classes, n_words)`` class-count temporaries.
+_TABLE_CHUNK = 1024
 
 
 def word_count(n_bits: int) -> int:
@@ -277,3 +289,98 @@ class BitMatrix:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"BitMatrix(n_masks={self.n_masks}, n_bits={self.n_bits})"
+
+
+def cover_class_counts(
+    covers: np.ndarray, label_words: np.ndarray
+) -> np.ndarray:
+    """``(k, m)`` int64 counts ``popcount(covers[i] & label_words[c])``.
+
+    The class-count half of :class:`PatternCovers`, for callers that
+    already hold ``(k, n_words)`` cover masks.  Runs in blocks of
+    ``_TABLE_CHUNK`` masks to bound the ``(block, m, n_words)`` AND.
+    """
+    label_words = np.asarray(label_words, dtype=_WORD_DTYPE)
+    counts = np.empty((len(covers), len(label_words)), dtype=np.int64)
+    session = _obs._ACTIVE
+    for start in range(0, len(covers), _TABLE_CHUNK):
+        block = covers[start : start + _TABLE_CHUNK]
+        if session is not None:
+            session.observe("bitset.kernel_batch_words", block.size)
+        counts[start : start + len(block)] = popcount(
+            block[:, np.newaxis, :] & label_words[np.newaxis, :, :]
+        )
+    return counts
+
+
+class PatternCovers:
+    """Coverage masks and per-class counts of a fixed pattern set.
+
+    Built once from canonical item tuples over ``n_items`` items: the
+    patterns are cut into blocks of ``_TABLE_CHUNK`` and each block is
+    grouped by length into ``(group, length)`` gather tables, so a
+    block's coverage is one gather + AND-reduction per length, with no
+    per-pattern Python loop.  The empty pattern covers every row.  An
+    item outside ``[0, n_items)`` is rejected here, once.
+    """
+
+    __slots__ = ("n_patterns", "_blocks")
+
+    def __init__(
+        self, patterns: Sequence[Sequence[int]], n_items: int
+    ) -> None:
+        patterns = [tuple(p) for p in patterns]
+        self.n_patterns = len(patterns)
+        # (start, size, [(block-relative columns, gather or None), ...])
+        self._blocks: list[tuple[int, int, list]] = []
+        for start in range(0, self.n_patterns, _TABLE_CHUNK):
+            block = patterns[start : start + _TABLE_CHUNK]
+            by_length: dict[int, list[int]] = {}
+            for j, items in enumerate(block):
+                by_length.setdefault(len(items), []).append(j)
+            groups = []
+            for length, columns in sorted(by_length.items()):
+                gather = np.asarray([block[j] for j in columns], dtype=np.intp)
+                bad = ((gather < 0) | (gather >= n_items)).any(axis=1)
+                if bad.any():
+                    raise ValueError(
+                        f"pattern {block[columns[np.argmax(bad)]]} has items "
+                        f"outside [0, {n_items}) and can never match"
+                    )
+                groups.append((np.asarray(columns), gather if length else None))
+            self._blocks.append((start, len(block), groups))
+
+    def _fill(self, out: np.ndarray, item_bits: BitMatrix, groups) -> None:
+        """Write one block's coverage masks into ``out``."""
+        for columns, gather in groups:
+            if gather is None:
+                out[columns] = packed_ones(item_bits.n_bits)
+            else:
+                out[columns] = np.bitwise_and.reduce(
+                    item_bits.words[gather], axis=1
+                )
+
+    def words(self, item_bits: BitMatrix) -> np.ndarray:
+        """``(k, n_words)`` packed coverage masks, one row per pattern."""
+        out = np.empty((self.n_patterns, item_bits.words.shape[1]), _WORD_DTYPE)
+        session = _obs._ACTIVE
+        for start, size, groups in self._blocks:
+            self._fill(out[start : start + size], item_bits, groups)
+            if session is not None:
+                session.observe("bitset.kernel_batch_words", size * out.shape[1])
+        return out
+
+    def class_counts(
+        self, item_bits: BitMatrix, label_words: np.ndarray
+    ) -> np.ndarray:
+        """``(k, m)`` int64 per-class cover counts, one block at a time.
+
+        When every row carries exactly one label, row ``i`` sums to
+        pattern ``i``'s support.
+        """
+        counts = np.empty((self.n_patterns, len(label_words)), dtype=np.int64)
+        for start, size, groups in self._blocks:
+            block = np.empty((size, item_bits.words.shape[1]), _WORD_DTYPE)
+            self._fill(block, item_bits, groups)
+            counts[start : start + size] = cover_class_counts(block, label_words)
+        return counts

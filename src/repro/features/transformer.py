@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..core.bitset import BitMatrix
+from ..core.bitset import BitMatrix, PatternCovers
 from ..datasets.transactions import TransactionDataset
 from ..mining.itemsets import Pattern
 from ..obs import core as _obs
@@ -45,6 +45,10 @@ class PatternFeaturizer:
         self.n_items = int(n_items)
         self.patterns = list(patterns)
         self.include_items = include_items
+        # Built (and range-checked) once; patterns are fixed after init.
+        self._covers = PatternCovers(
+            [p.items for p in self.patterns], self.n_items
+        )
 
     @property
     def n_features(self) -> int:
@@ -89,22 +93,11 @@ class PatternFeaturizer:
         self, data: TransactionDataset | Sequence[Sequence[int]]
     ) -> BitMatrix:
         """Packed pattern-coverage masks: mask ``j`` marks the rows that
-        contain pattern ``j`` (one AND-reduction over item masks each).
-
-        This is the *naive per-pattern subset-check path* — the reference
-        semantics the compiled serving matcher (:mod:`repro.serving`) is
-        differential-tested against.
+        contain pattern ``j`` (the AND of its item masks, computed by the
+        shared :class:`~repro.core.bitset.PatternCovers` kernel).
         """
         item_bits, n_rows = self._item_bits(data)
-        if not self.patterns:
-            return BitMatrix(
-                np.zeros((0, item_bits.words.shape[1]), dtype=item_bits.words.dtype),
-                n_rows,
-            )
-        pattern_words = np.stack(
-            [item_bits.and_reduce(p.items) for p in self.patterns]
-        )
-        return BitMatrix(pattern_words, n_rows)
+        return BitMatrix(self._covers.words(item_bits), n_rows)
 
     def match_matrix(
         self, data: TransactionDataset | Sequence[Sequence[int]]
@@ -117,8 +110,8 @@ class PatternFeaturizer:
     ) -> np.ndarray:
         """Binary design matrix (n_rows, n_features) as float64.
 
-        Built from packed item bitsets; each pattern column is an
-        AND-reduction over item masks (see :meth:`match_bits`).
+        Built from packed item bitsets; the pattern columns are
+        :meth:`match_bits` unpacked.
         """
         with _obs.span(
             "features.transform",
@@ -132,10 +125,7 @@ class PatternFeaturizer:
             if self.include_items:
                 blocks.append(item_bits.to_dense().T.astype(np.float64))
             if self.patterns:
-                pattern_words = np.stack(
-                    [item_bits.and_reduce(p.items) for p in self.patterns]
-                )
-                pattern_bits = BitMatrix(pattern_words, n_rows)
+                pattern_bits = self.match_bits(data)
                 blocks.append(pattern_bits.to_dense().T.astype(np.float64))
             if not blocks:
                 return np.zeros((n_rows, 0))

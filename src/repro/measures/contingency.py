@@ -13,7 +13,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ..core.bitset import popcount
+from ..core.bitset import PatternCovers
 from ..datasets.transactions import TransactionDataset
 from ..mining.itemsets import Pattern
 from ..obs import core as _obs
@@ -25,11 +25,6 @@ __all__ = [
     "batch_pattern_stats",
     "batch_contingency_tables",
 ]
-
-#: Patterns per chunk when building batched tables: bounds the transient
-#: ``(chunk, n_classes, n_words)`` uint64 intersection buffer.
-_TABLE_CHUNK = 1024
-
 
 @dataclass(frozen=True)
 class PatternStats:
@@ -163,34 +158,12 @@ def batch_pattern_stats(
     patterns: Sequence[Pattern],
     data: TransactionDataset,
 ) -> list[PatternStats]:
-    """Contingency tables for many patterns, via the cached packed masks.
+    """Contingency tables for many patterns as :class:`PatternStats`.
 
-    Shares the dataset's item bitsets: each pattern costs one AND-reduction
-    plus ``n_classes`` popcounts, never touching a dense occurrence matrix.
+    The object view of :func:`batch_contingency_tables` — same kernel,
+    same counts, one Python object per row.
     """
-    if not patterns:
-        return []
-    session = _obs._ACTIVE
-    if session is not None:
-        session.add("measures.contingency.batches", 1)
-        session.add("measures.contingency.patterns", len(patterns))
-        session.record("measures.contingency.batch_size", len(patterns))
-    item_bits = data.item_bits()
-    label_words = data.label_bits().words
-    class_totals = data.class_counts().astype(np.int64)
-
-    stats: list[PatternStats] = []
-    for pattern in patterns:
-        cover = item_bits.and_reduce(pattern.items)
-        present = popcount(label_words & cover)
-        absent = class_totals - present
-        stats.append(
-            PatternStats(
-                present=tuple(int(c) for c in present),
-                absent=tuple(int(c) for c in absent),
-            )
-        )
-    return stats
+    return batch_contingency_tables(patterns, data).to_stats()
 
 
 def batch_contingency_tables(
@@ -199,34 +172,19 @@ def batch_contingency_tables(
 ) -> ContingencyTables:
     """Contingency tables for many patterns as ``(k, m)`` count arrays.
 
-    The array-returning variant of :func:`batch_pattern_stats`: the same
-    cached packed bitsets feed one stacked AND + popcount per chunk, so the
-    per-class counts of a whole candidate set land in two int64 arrays
-    ready for the vectorized measure kernels — no per-pattern Python
-    objects on the hot path.
+    One :class:`~repro.core.bitset.PatternCovers` pass over the dataset's
+    cached packed bitsets yields the per-class counts of the whole
+    candidate set in two int64 arrays ready for the vectorized measure
+    kernels — no per-pattern Python objects on the hot path.
     """
     session = _obs._ACTIVE
     if session is not None:
         session.add("measures.contingency.batches", 1)
         session.add("measures.contingency.patterns", len(patterns))
         session.record("measures.contingency.batch_size", len(patterns))
-    n_classes = data.n_classes
-    if not patterns:
-        empty = np.zeros((0, n_classes), dtype=np.int64)
-        return ContingencyTables(present=empty, absent=empty.copy())
-    item_bits = data.item_bits()
-    label_words = data.label_bits().words
+    covers = PatternCovers([p.items for p in patterns], data.n_items)
+    present = covers.class_counts(data.item_bits(), data.label_bits().words)
     class_totals = data.class_counts().astype(np.int64)
-
-    present = np.empty((len(patterns), n_classes), dtype=np.int64)
-    for start in range(0, len(patterns), _TABLE_CHUNK):
-        chunk = patterns[start : start + _TABLE_CHUNK]
-        covers = np.stack([item_bits.and_reduce(p.items) for p in chunk])
-        if session is not None:
-            session.observe("bitset.kernel_batch_words", covers.size)
-        present[start : start + len(chunk)] = popcount(
-            covers[:, np.newaxis, :] & label_words[np.newaxis, :, :]
-        )
     return ContingencyTables(
         present=present, absent=class_totals[np.newaxis, :] - present
     )

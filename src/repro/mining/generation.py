@@ -42,6 +42,7 @@ import time
 from functools import partial
 from typing import TYPE_CHECKING, Literal, Sequence
 
+from ..core.bitset import PatternCovers
 from ..core.parallel import RetryPolicy, parallel_map, resolve_n_jobs
 from ..datasets.transactions import TransactionDataset
 from ..obs import core as _obs
@@ -76,13 +77,17 @@ def recount_supports(
     itemsets: Sequence[tuple[int, ...]],
     data: TransactionDataset,
 ) -> list[Pattern]:
-    """Support of each itemset over the whole dataset (packed popcounts)."""
-    if not itemsets:
-        return []
-    item_bits = data.item_bits()
+    """Support of each itemset over the whole dataset.
+
+    Every row carries exactly one label, so a pattern's support is the sum
+    of its per-class cover counts.
+    """
+    counts = PatternCovers(itemsets, data.n_items).class_counts(
+        data.item_bits(), data.label_bits().words
+    )
     return [
-        Pattern(items=items, support=item_bits.support(items))
-        for items in itemsets
+        Pattern(items=items, support=int(support))
+        for items, support in zip(itemsets, counts.sum(axis=1))
     ]
 
 

@@ -16,9 +16,10 @@ per-class mining:
    zero-copy :class:`~repro.core.shards.ShardHandle` — the task pickles a
    path and three integers, never data.
 2. **Exact counting pass.**  Candidates are counted against every shard
-   (AND-reduce + popcount against the shard's label masks) and the
-   per-shard int64 count vectors are merged order-invariantly (integer
-   addition — the same merge discipline as ``repro.streaming.window``).
+   (the shared :class:`~repro.core.bitset.PatternCovers` kernel against
+   the shard's label masks) and the per-shard int64 count vectors are
+   merged order-invariantly (integer addition — the same merge
+   discipline as ``repro.streaming.window``).
    Counting is level-wise by itemset length so the optional
    **non-derivable-itemset condensation** (:mod:`repro.mining.condense`)
    can fill in counts that inclusion-exclusion already determines,
@@ -44,7 +45,7 @@ from typing import TYPE_CHECKING, Literal
 
 import numpy as np
 
-from ..core.bitset import popcount
+from ..core.bitset import PatternCovers
 from ..core.parallel import RetryPolicy, parallel_map, resolve_n_jobs
 from ..core.shards import ShardHandle, ShardSet
 from ..obs import core as _obs
@@ -141,16 +142,13 @@ def _count_shard(candidates: list, job: tuple) -> list[list[int]]:
     """
     shard_index, handle = job
     _faults.fault_point("shard", f"count:{shard_index}")
-    item_bits = handle.item_bits()
-    label_words = np.asarray(handle.label_words())
-    out = np.zeros((len(candidates), handle.n_classes), dtype=np.int64)
     with _obs.span(
         "mining.sharded.count", shard=shard_index, candidates=len(candidates)
     ):
-        for row, items in enumerate(candidates):
-            cover = item_bits.and_reduce(items)
-            out[row] = popcount(label_words & cover)
-    return out.tolist()
+        counts = PatternCovers(candidates, handle.n_items).class_counts(
+            handle.item_bits(), handle.label_words()
+        )
+    return counts.tolist()
 
 
 def _mine_key(

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core.bitset import pack_bits, popcount, unpack_bits
+from ..core.bitset import PatternCovers, pack_bits, popcount, unpack_bits
 from ..datasets.transactions import TransactionDataset
 from ..obs import core as _obs
 from ..measures.contingency import batch_contingency_tables
@@ -169,10 +169,9 @@ def _mmrfs_run(
     # than recomputed on every candidate probe — rejected probes in the
     # same round reuse it unchanged.
     if engine == "bitset":
-        item_bits = data.item_bits()
-        coverage_words = np.stack(
-            [item_bits.and_reduce(p.items) for p in patterns]
-        )
+        coverage_words = PatternCovers(
+            [p.items for p in patterns], data.n_items
+        ).words(data.item_bits())
         # correct_words[k]: rows pattern k covers *and* whose label matches
         # the pattern's majority class — packed.
         if data.n_classes:

@@ -10,13 +10,15 @@ Fine for an offline experiment, hopeless for a serving hot path with a
 :func:`compile_model` freezes the same fitted state into a
 :class:`CompiledModel` whose hot path removes all three costs:
 
-* **item-indexed matcher** — at compile time the pattern set is grouped
-  by length into index tables over the item space (the inverted-list
-  view: pattern ``j`` is the list of item tidsets it probes).  At predict
-  time the incoming batch is packed once into vertical item bitsets
-  (:class:`~repro.core.bitset.BitMatrix`), and *every* pattern's coverage
-  mask is produced by one vectorized gather + AND-reduction per length
-  group — no per-pattern Python loop, no per-pattern subset check.
+* **item-indexed matcher** — at compile time the pattern set becomes
+  the shared :class:`~repro.core.bitset.PatternCovers` kernel, which
+  groups it by length into index tables over the item space (the
+  inverted-list view: pattern ``j`` is the list of item tidsets it
+  probes).  At predict time the incoming batch is packed once into
+  vertical item bitsets (:class:`~repro.core.bitset.BitMatrix`), and
+  *every* pattern's coverage mask is produced by one vectorized gather +
+  AND-reduction per length group — no per-pattern Python loop, no
+  per-pattern subset check.
 * **fused decision function** — LinearSVM, LogisticRegression and
   BernoulliNaiveBayes are all linear in the binary design, so compile
   time extracts a single ``(n_features, n_outputs)`` coefficient matrix
@@ -54,7 +56,7 @@ from ..classifiers.base import Classifier
 from ..classifiers.linear_svm import LinearSVM
 from ..classifiers.logistic import LogisticRegression
 from ..classifiers.naive_bayes import BernoulliNaiveBayes
-from ..core.bitset import BitMatrix, packed_ones, unpack_bits
+from ..core.bitset import BitMatrix, PatternCovers, unpack_bits
 from ..datasets.transactions import TransactionDataset
 from ..features.pipeline import FrequentPatternClassifier
 from ..mining.itemsets import Pattern
@@ -224,14 +226,9 @@ class CompiledModel:
         self.include_items = bool(include_items)
         self.chunk_rows = int(chunk_rows)
         self.model = model
-        for pattern in self.patterns:
-            if pattern.items and (
-                pattern.items[0] < 0 or pattern.items[-1] >= self.n_items
-            ):
-                raise ValueError(
-                    f"pattern {pattern.items} has items outside "
-                    f"[0, {self.n_items}) and can never match"
-                )
+        self._covers = PatternCovers(
+            [p.items for p in self.patterns], self.n_items
+        )
 
         if item_mask is not None:
             item_mask = np.asarray(item_mask, dtype=bool)
@@ -249,24 +246,6 @@ class CompiledModel:
             self._kept_items = np.arange(self.n_items, dtype=np.intp)
         else:
             self._kept_items = np.where(item_mask)[0].astype(np.intp)
-
-        # The item-indexed matcher tables: patterns grouped by length,
-        # each group one (group_size, length) gather index into the
-        # vertical item bitsets.  Group order is by ascending length;
-        # positions map results back to pattern columns.
-        groups: dict[int, list[int]] = {}
-        for j, pattern in enumerate(self.patterns):
-            groups.setdefault(len(pattern.items), []).append(j)
-        self._groups: list[tuple[np.ndarray, np.ndarray]] = []
-        self._empty_pattern_columns = np.asarray(
-            groups.pop(0, []), dtype=np.intp
-        )
-        for length in sorted(groups):
-            columns = np.asarray(groups[length], dtype=np.intp)
-            gather = np.asarray(
-                [self.patterns[j].items for j in columns], dtype=np.intp
-            )
-            self._groups.append((columns, gather))
 
         self._fused = _extract_fused(model, len(self._kept_items))
 
@@ -296,23 +275,6 @@ class CompiledModel:
         }
 
     # -- matcher -------------------------------------------------------
-    def _match_bits_chunk(self, item_bits: BitMatrix) -> np.ndarray:
-        """Packed coverage masks (n_patterns, n_words) for one chunk."""
-        words = np.empty(
-            (self.n_patterns, item_bits.words.shape[1]),
-            dtype=item_bits.words.dtype,
-        )
-        if self._empty_pattern_columns.size:
-            words[self._empty_pattern_columns] = packed_ones(item_bits.n_bits)
-        for columns, gather in self._groups:
-            if gather.shape[1] == 1:
-                words[columns] = item_bits.words[gather[:, 0]]
-            else:
-                words[columns] = np.bitwise_and.reduce(
-                    item_bits.words[gather], axis=1
-                )
-        return words
-
     def _chunks(self, transactions: list) -> list[list]:
         return [
             transactions[start : start + self.chunk_rows]
@@ -335,7 +297,7 @@ class CompiledModel:
         blocks = []
         for chunk in self._chunks(transactions):
             item_bits = BitMatrix.vertical(chunk, self.n_items)
-            words = self._match_bits_chunk(item_bits)
+            words = self._covers.words(item_bits)
             blocks.append(unpack_bits(words, len(chunk)).T)
         if not blocks:
             return np.zeros((0, self.n_patterns), dtype=bool)
@@ -359,17 +321,8 @@ class CompiledModel:
         so no rows x features float64 matrix is ever materialized here.
         """
         item_bits = BitMatrix.vertical(chunk, self.n_items)
-        if self._kept_items.size:
-            items_b = unpack_bits(
-                item_bits.words[self._kept_items], len(chunk)
-            )
-        else:
-            items_b = np.zeros((0, len(chunk)), dtype=bool)
-        if self.n_patterns:
-            words = self._match_bits_chunk(item_bits)
-            matches_b = unpack_bits(words, len(chunk))
-        else:
-            matches_b = np.zeros((0, len(chunk)), dtype=bool)
+        items_b = unpack_bits(item_bits.words[self._kept_items], len(chunk))
+        matches_b = unpack_bits(self._covers.words(item_bits), len(chunk))
         return items_b, matches_b
 
     def _design(self, transactions: list) -> np.ndarray:
@@ -396,15 +349,18 @@ class CompiledModel:
             )
         transactions = _as_transaction_list(transactions)
         transactions, _ = sanitize_transactions(transactions, self.n_items)
+        return self._fused_scores(transactions)
+
+    def _fused_scores(self, transactions: list) -> np.ndarray:
+        """Fused scores of sanitized transactions, one chunk at a time."""
         out = np.empty(
             (len(transactions), self._fused.intercept.shape[0]),
             dtype=np.float64,
         )
         offset = 0
         for chunk in self._chunks(transactions):
-            items_b, matches_b = self._chunk_blocks(chunk)
             out[offset : offset + len(chunk)] = self._fused.scores(
-                items_b, matches_b
+                *self._chunk_blocks(chunk)
             )
             offset += len(chunk)
         return out
@@ -453,18 +409,9 @@ class CompiledModel:
             if len(sanitized) == 0:
                 return np.empty(0, dtype=np.int32)
             if self._fused is not None:
-                scores = np.empty(
-                    (len(sanitized), self._fused.intercept.shape[0]),
-                    dtype=np.float64,
+                labels = self._predict_from_scores(
+                    self._fused_scores(sanitized)
                 )
-                offset = 0
-                for chunk in self._chunks(sanitized):
-                    items_b, matches_b = self._chunk_blocks(chunk)
-                    scores[offset : offset + len(chunk)] = self._fused.scores(
-                        items_b, matches_b
-                    )
-                    offset += len(chunk)
-                labels = self._predict_from_scores(scores)
             else:
                 labels = self.model.predict(self._design(sanitized))
                 labels = np.asarray(labels, dtype=np.int32)

@@ -51,7 +51,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from ..core.bitset import packed_ones, popcount
+from ..core.bitset import cover_class_counts, packed_ones
 from ..datasets.transactions import TransactionDataset
 from ..measures.bounds import BoundMode
 from ..measures.vectorized import ig_upper_bound_batch, information_gain_batch
@@ -355,11 +355,10 @@ class TopKMiner:
             start = items[-1] + 1 if items else 0
             if start >= n_items:
                 return
-            child_words = item_bits.words[start:] & tidset
-            supports = popcount(child_words)
-            present = np.empty((child_words.shape[0], len(class_totals)))
-            for c in range(len(class_totals)):
-                present[:, c] = popcount(child_words & label_words[c])
+            present = cover_class_counts(
+                item_bits.words[start:] & tidset, label_words
+            )
+            supports = present.sum(axis=1)
             igs = information_gain_batch(
                 present, class_totals[np.newaxis, :] - present
             )

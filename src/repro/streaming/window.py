@@ -26,7 +26,7 @@ from typing import Any, Iterable, Sequence
 
 import numpy as np
 
-from ..core.bitset import BitMatrix, popcount
+from ..core.bitset import PatternCovers
 from ..datasets.transactions import TransactionDataset
 from ..mining.itemsets import Pattern
 
@@ -47,8 +47,7 @@ class _WindowShard:
         self.n_classes = n_classes
         self.transactions: list[tuple[int, ...]] = []
         self.labels: list[int] = []
-        self._item_bits: BitMatrix | None = None
-        self._label_words: np.ndarray | None = None
+        self._data: TransactionDataset | None = None
         self._counts: np.ndarray | None = None
         self._class_totals: np.ndarray | None = None
 
@@ -60,22 +59,9 @@ class _WindowShard:
         self.transactions.append(transaction)
         self.labels.append(label)
         # The open tail mutates; sealed caches never coexist with appends.
-        self._item_bits = None
-        self._label_words = None
+        self._data = None
         self._counts = None
         self._class_totals = None
-
-    def _bits(self) -> tuple[BitMatrix, np.ndarray]:
-        if self._item_bits is None:
-            data = TransactionDataset(
-                self.transactions,
-                np.asarray(self.labels, dtype=np.int32),
-                n_items=self.n_items,
-                n_classes=self.n_classes,
-            )
-            self._item_bits = data.item_bits()
-            self._label_words = data.label_bits().words
-        return self._item_bits, self._label_words
 
     def class_totals(self) -> np.ndarray:
         if self._class_totals is None:
@@ -88,12 +74,17 @@ class _WindowShard:
     def pattern_counts(self, patterns: Sequence[tuple[int, ...]]) -> np.ndarray:
         """(k, m) per-class supports of ``patterns`` within this shard."""
         if self._counts is None:
-            item_bits, label_words = self._bits()
-            counts = np.zeros((len(patterns), self.n_classes), dtype=np.int64)
-            for i, items in enumerate(patterns):
-                cover = item_bits.and_reduce(items)
-                counts[i] = popcount(label_words & cover)
-            self._counts = counts
+            if self._data is None:
+                # Caches the shard's vertical bitsets until the next append.
+                self._data = TransactionDataset(
+                    self.transactions,
+                    self.labels,
+                    n_items=self.n_items,
+                    n_classes=self.n_classes,
+                )
+            self._counts = PatternCovers(patterns, self.n_items).class_counts(
+                self._data.item_bits(), self._data.label_bits().words
+            )
         return self._counts
 
     def invalidate_counts(self) -> None:

@@ -27,6 +27,22 @@ class TestParser:
             build_parser().parse_args(["frobnicate"])
 
 
+class TestExperimentCommand:
+    def test_condense_without_shard_rows_is_a_usage_error(
+        self, tmp_path, capsys
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main(
+                [
+                    "experiment", "austral", "--out", str(tmp_path / "run"),
+                    "--condense",
+                ]
+            )
+        assert excinfo.value.code == 2
+        assert "--condense requires --shard-rows" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+
 class TestDatasetsCommand:
     def test_lists_all(self):
         output = run_cli("datasets")

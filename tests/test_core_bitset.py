@@ -15,8 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.bitset import (
+    _TABLE_CHUNK,
     WORD_BITS,
     BitMatrix,
+    PatternCovers,
     intersection_counts,
     pack_bits,
     packed_ones,
@@ -298,3 +300,87 @@ class TestVerticalPacking:
         tracemalloc.stop()
         dense_bytes = n_rows * n_items
         assert peak < dense_bytes // 4
+
+
+#: Item space of the PatternCovers property cases.
+COVER_ITEMS = 6
+
+
+@st.composite
+def cover_cases(draw):
+    """Transactions, labels and a pattern list for the cover kernel.
+
+    Row counts include 0 and widths off the 64-bit word size; the pattern
+    list always holds the empty pattern and a length-1 pattern, and its
+    length is drawn from either side of the kernel's block boundary.
+    """
+    n_rows = draw(
+        st.sampled_from([0, 1, 63, 64, 65, 130]) | st.integers(0, 140)
+    )
+    n_classes = draw(st.integers(min_value=1, max_value=3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = [
+        tuple(int(i) for i in np.flatnonzero(rng.random(COVER_ITEMS) < 0.6))
+        for _ in range(n_rows)
+    ]
+    labels = rng.integers(0, n_classes, size=n_rows)
+    items = st.integers(min_value=0, max_value=COVER_ITEMS - 1)
+    drawn = draw(
+        st.lists(
+            st.frozensets(items, max_size=4).map(lambda s: tuple(sorted(s))),
+            max_size=8,
+        )
+    )
+    base = [(), (draw(items),)] + drawn
+    n_patterns = draw(
+        st.sampled_from(
+            [0, 1, len(base), _TABLE_CHUNK - 1, _TABLE_CHUNK, _TABLE_CHUNK + 1]
+        )
+    )
+    patterns = [base[i % len(base)] for i in range(n_patterns)]
+    return rows, labels, n_classes, patterns
+
+
+class TestPatternCovers:
+    @given(cover_cases())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_set_containment(self, case):
+        rows, labels, n_classes, patterns = case
+        covers = PatternCovers(patterns, COVER_ITEMS)
+        item_bits = BitMatrix.vertical(rows, COVER_ITEMS)
+        label_words = pack_bits(
+            labels[np.newaxis, :] == np.arange(n_classes)[:, np.newaxis]
+        )
+        # Pure-Python oracle: containment per row, memoised per itemset.
+        row_sets = [set(row) for row in rows]
+        contained = {
+            p: [set(p) <= row for row in row_sets] for p in set(patterns)
+        }
+        expected_dense = np.array(
+            [contained[p] for p in patterns], dtype=bool
+        ).reshape(len(patterns), len(rows))
+        expected_counts = np.array(
+            [
+                [
+                    sum(hit and y == c for hit, y in zip(contained[p], labels))
+                    for c in range(n_classes)
+                ]
+                for p in patterns
+            ],
+            dtype=np.int64,
+        ).reshape(len(patterns), n_classes)
+
+        words = covers.words(item_bits)
+        assert words.shape == (len(patterns), word_count(len(rows)))
+        assert np.array_equal(unpack_bits(words, len(rows)), expected_dense)
+        counts = covers.class_counts(item_bits, label_words)
+        assert counts.dtype == np.int64
+        assert np.array_equal(counts, expected_counts)
+        assert np.array_equal(
+            counts.sum(axis=1), expected_dense.sum(axis=1)
+        )
+
+    @pytest.mark.parametrize("pattern", [(-1, 0), (0, 4), (5,)])
+    def test_out_of_range_items_rejected(self, pattern):
+        with pytest.raises(ValueError, match="never match"):
+            PatternCovers([(0,), pattern], n_items=4)

@@ -14,6 +14,7 @@ from repro.classifiers import (
 )
 from repro.features import FrequentPatternClassifier
 from repro.io import load_pipeline, model_from_json, model_to_json, save_pipeline
+from repro.io.models import pipeline_from_payload, pipeline_to_payload
 
 
 @pytest.fixture(scope="module")
@@ -105,6 +106,14 @@ class TestPipelinePersistence:
     def test_unfitted_rejected(self):
         with pytest.raises(ValueError, match="fitted"):
             save_pipeline(FrequentPatternClassifier(), io.StringIO())
+
+    def test_out_of_range_pattern_item_rejected(self, planted_transactions):
+        pipeline = FrequentPatternClassifier(min_support=0.25, delta=2)
+        pipeline.fit(planted_transactions)
+        payload = pipeline_to_payload(pipeline)
+        payload["patterns"].append({"items": [-1, 0], "support": 1})
+        with pytest.raises(ValueError, match="never match"):
+            pipeline_from_payload(payload)
 
     def test_version_checked(self):
         with pytest.raises(ValueError, match="version"):

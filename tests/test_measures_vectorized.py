@@ -264,7 +264,7 @@ class TestBatchContingencyTables:
 
     def test_chunking_boundary(self, rng):
         """More patterns than one chunk: rows must land in order."""
-        from repro.measures.contingency import _TABLE_CHUNK
+        from repro.core.bitset import _TABLE_CHUNK
 
         n_items = 6
         transactions = [

@@ -79,7 +79,15 @@ def test_compiled_matcher_equals_naive_subset_checks(
     naive = PatternFeaturizer(n_items=N_ITEMS, patterns=patterns).match_matrix(
         sanitized
     )
-    assert np.array_equal(compiled.match_matrix(transactions), naive)
+    matched = compiled.match_matrix(transactions)
+    assert np.array_equal(matched, naive)
+    # Both paths share one cover kernel, so pin it to plain set
+    # containment as well.
+    oracle = np.array(
+        [[set(p.items) <= set(row) for p in patterns] for row in sanitized],
+        dtype=bool,
+    ).reshape(len(sanitized), len(patterns))
+    assert np.array_equal(matched, oracle)
 
 
 def training_databases():
