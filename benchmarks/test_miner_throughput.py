@@ -4,7 +4,8 @@ Unlike the table/figure benches (single-shot experiment drivers), these are
 conventional repeated-timing benchmarks of the hot substrate operations:
 FP-growth vs Apriori vs the closed miners on the same workload, the theta*
 bisection, the packed-bitset kernels against their dense equivalents, and
-serial vs parallel per-class mining.
+serial vs parallel per-class mining, plus a gated trend of the closed
+miner on one class partition of the cross-validated waveform workload.
 """
 
 import time
@@ -14,6 +15,8 @@ import pytest
 
 from repro.core.bitset import BitMatrix, pack_bits
 from repro.datasets import TransactionDataset, load_uci
+from repro.datasets.synthetic import generate
+from repro.datasets.uci import SCALABILITY_SPECS
 from repro.measures import theta_star
 from repro.mining import (
     apriori,
@@ -256,3 +259,45 @@ def test_parallel_mining_matches_serial(workload, report_lines):
         f"  n_jobs=1 {1e3 * serial_time:8.2f} ms\n"
         f"  n_jobs=2 {1e3 * parallel_time:8.2f} ms"
     )
+
+
+# ---------------------------------------------------------------------------
+# Gated trend: the closed miner on the cv-waveform partition.
+# ---------------------------------------------------------------------------
+
+def _waveform_partition(scale=0.3, seed=1, label=0):
+    """One class partition of a seeded row sample of the waveform stand-in.
+
+    The same sample the repository benchmark's ``cv-waveform`` workload
+    draws: ``scale`` of the rows, chosen by ``default_rng([seed, 0])``.
+    """
+    spec = SCALABILITY_SPECS["waveform"]
+    full = TransactionDataset.from_dataset(generate(spec))
+    rng = np.random.default_rng([seed, 0])
+    size = int(round(spec.n_rows * scale))
+    sample = full.subset(np.sort(rng.choice(full.n_rows, size=size, replace=False)))
+    return sample.class_partition()[label]
+
+
+def test_closed_mining_wall_trend(report_lines, trend):
+    """Best-of-3 wall time of ``closed_fpgrowth`` at min_sup 0.05 and
+    max_length 5 (the Table 4 regime), recorded as
+    ``mining.closed_wall_s`` for ``repro bench check``."""
+    transactions = _waveform_partition()
+    min_support = -(-5 * len(transactions) // 100)  # ceil(0.05 * rows)
+    result = closed_fpgrowth(transactions, min_support, max_length=5)
+    wall = _best_of(
+        lambda: closed_fpgrowth(transactions, min_support, max_length=5),
+        repeats=3,
+    )
+    trend(
+        "mining.closed_wall_s",
+        wall,
+        meta={"rows": len(transactions), "patterns": len(result)},
+    )
+    report_lines.append(
+        "closed mining, waveform@0.3 seed 1 class 0 (best-of-3 wall clock)\n"
+        f"  {len(transactions)} rows, min_sup {min_support}: "
+        f"{len(result)} patterns in {wall:.3f} s"
+    )
+    assert len(result) > 0

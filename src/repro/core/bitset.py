@@ -61,8 +61,12 @@ _POPCOUNT8 = np.unpackbits(
 ).sum(axis=1).astype(np.int64)
 _BITWISE_COUNT = getattr(np, "bitwise_count", None)
 #: Patterns per kernel block: bounds the ``(block, length, n_words)``
-#: gather and the ``(block, n_classes, n_words)`` class-count temporaries.
+#: gather temporary of :class:`PatternCovers`.
 _TABLE_CHUNK = 1024
+#: Words per block of the 2-D :func:`intersection_counts`: bounds its
+#: ``(block, m, n_words)`` AND temporary to 1 MiB whatever the row count
+#: (a block is never less than one row of ``m`` masks).
+_INTERSECTION_BLOCK_WORDS = 1 << 17
 
 
 def word_count(n_bits: int) -> int:
@@ -131,11 +135,24 @@ def intersection_counts(masks: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """``popcount(masks[k] & mask)`` for every row of ``masks``.
 
     The packed form of ``dense_masks[:, dense_mask].sum(axis=1)`` — one AND
-    plus a table gather instead of a boolean fancy-index per row.
+    plus a table gather instead of a boolean fancy-index per row.  A 2-D
+    ``mask`` stack of ``m`` masks yields the ``(k, m)`` count matrix
+    ``popcount(masks[i] & mask[j])``, computed over blocks of ``masks``
+    rows so the ``(block, m, n_words)`` AND temporary stays within
+    ``_INTERSECTION_BLOCK_WORDS`` words.
     """
     if _obs._ACTIVE is not None:
         _obs._ACTIVE.add("bitset.intersection_calls", 1)
-    return popcount(masks & mask)
+    if mask.ndim == 1:
+        return popcount(masks & mask)
+    counts = np.empty((len(masks), len(mask)), dtype=np.int64)
+    block = max(1, _INTERSECTION_BLOCK_WORDS // max(1, mask.size))
+    for start in range(0, len(masks), block):
+        rows = masks[start : start + block]
+        counts[start : start + len(rows)] = popcount(
+            rows[:, np.newaxis, :] & mask[np.newaxis, :, :]
+        )
+    return counts
 
 
 def scatter_bits(
@@ -297,20 +314,13 @@ def cover_class_counts(
     """``(k, m)`` int64 counts ``popcount(covers[i] & label_words[c])``.
 
     The class-count half of :class:`PatternCovers`, for callers that
-    already hold ``(k, n_words)`` cover masks.  Runs in blocks of
-    ``_TABLE_CHUNK`` masks to bound the ``(block, m, n_words)`` AND.
+    already hold ``(k, n_words)`` cover masks: the 2-D
+    :func:`intersection_counts`, observed as one kernel batch.
     """
-    label_words = np.asarray(label_words, dtype=_WORD_DTYPE)
-    counts = np.empty((len(covers), len(label_words)), dtype=np.int64)
     session = _obs._ACTIVE
-    for start in range(0, len(covers), _TABLE_CHUNK):
-        block = covers[start : start + _TABLE_CHUNK]
-        if session is not None:
-            session.observe("bitset.kernel_batch_words", block.size)
-        counts[start : start + len(block)] = popcount(
-            block[:, np.newaxis, :] & label_words[np.newaxis, :, :]
-        )
-    return counts
+    if session is not None and covers.size:
+        session.observe("bitset.kernel_batch_words", covers.size)
+    return intersection_counts(covers, np.asarray(label_words, dtype=_WORD_DTYPE))
 
 
 class PatternCovers:

@@ -12,7 +12,7 @@ from itertools import combinations
 from typing import Sequence
 
 from ..obs import core as _obs
-from .itemsets import MiningResult, Pattern, PatternBudgetExceeded
+from .itemsets import MiningResult, Pattern, PatternBudgetExceeded, check_item_ids
 
 __all__ = ["apriori"]
 
@@ -83,6 +83,7 @@ def apriori(
     if min_support < 1:
         raise ValueError("min_support is an absolute count and must be >= 1")
     transactions = [tuple(sorted(set(t))) for t in transactions]
+    check_item_ids(transactions)
     session = _obs._ACTIVE
 
     item_counts: dict[int, int] = {}

@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 from ..obs import core as _obs
-from .itemsets import MiningResult, Pattern, PatternBudgetExceeded
+from .itemsets import MiningResult, Pattern, PatternBudgetExceeded, check_item_ids
 
 __all__ = ["charm"]
 
@@ -35,6 +35,7 @@ def charm(
     if min_support < 1:
         raise ValueError("min_support is an absolute count and must be >= 1")
     transactions = [tuple(sorted(set(t))) for t in transactions]
+    check_item_ids(transactions)
 
     tid_builder: dict[int, set[int]] = {}
     for tid, transaction in enumerate(transactions):

@@ -12,7 +12,13 @@ from typing import Sequence
 
 from ..obs import core as _obs
 from .fptree import FPTree
-from .itemsets import MiningResult, Pattern, PatternBudgetExceeded, canonical
+from .itemsets import (
+    MiningResult,
+    Pattern,
+    PatternBudgetExceeded,
+    canonical,
+    check_item_ids,
+)
 
 __all__ = ["fpgrowth"]
 
@@ -37,6 +43,7 @@ def fpgrowth(
     if min_support < 1:
         raise ValueError("min_support is an absolute count and must be >= 1")
     transactions = [tuple(t) for t in transactions]
+    check_item_ids(transactions)
     tree = FPTree.from_transactions(transactions, min_support)
 
     patterns: list[Pattern] = []

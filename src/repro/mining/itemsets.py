@@ -11,12 +11,33 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-__all__ = ["Pattern", "PatternBudgetExceeded", "canonical", "MiningResult"]
+__all__ = [
+    "Pattern",
+    "PatternBudgetExceeded",
+    "canonical",
+    "check_item_ids",
+    "MiningResult",
+]
 
 
 def canonical(items: Iterable[int]) -> tuple[int, ...]:
     """Canonical (sorted, deduplicated) tuple form of an itemset."""
     return tuple(sorted(set(int(i) for i in items)))
+
+
+def check_item_ids(transactions: Sequence[Sequence[int]]) -> None:
+    """Reject negative item ids, the one input every miner must refuse.
+
+    Item ids index the vertical bitsets of the closed miner; the other
+    miners would silently mine a negative id as an item.  Every miner
+    calls this before any work, so all four fail the same way.
+    """
+    for transaction in transactions:
+        if transaction and min(transaction) < 0:
+            raise ValueError(
+                f"item ids must be non-negative, got {min(transaction)} "
+                f"in transaction {tuple(transaction)}"
+            )
 
 
 class PatternBudgetExceeded(RuntimeError):

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import bitset
 from repro.core.bitset import (
     _TABLE_CHUNK,
     WORD_BITS,
@@ -120,6 +121,19 @@ class TestIntersection:
         packed = pack_bits(dense)
         expected = (dense & dense[-1]).sum(axis=1)
         assert np.array_equal(intersection_counts(packed, packed[-1]), expected)
+
+    @settings(max_examples=100, deadline=None)
+    @given(dense=bool_matrices(), block_words=st.sampled_from([1, 3, 1 << 17]))
+    def test_intersection_count_matrix_matches_dense(self, dense, block_words):
+        """A 2-D mask stack gives the (k, m) matrix, block size aside."""
+        packed = pack_bits(dense)
+        others = packed[::-1][: max(1, len(packed) // 2)]
+        expected = dense.astype(int) @ dense[::-1][: len(others)].T.astype(int)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(bitset, "_INTERSECTION_BLOCK_WORDS", block_words)
+            counts = intersection_counts(packed, others)
+        assert counts.dtype == np.int64
+        assert np.array_equal(counts, expected)
 
     @settings(max_examples=100, deadline=None)
     @given(dense=bool_matrices())

@@ -7,6 +7,7 @@ examples per miner pair:
   identical supports;
 * the two closed miners (LCM-style ``closed_fpgrowth`` and CHARM) agree
   with each other;
+* every miner rejects negative item ids the same way, before any work;
 * expanding a closed result — every subset of every closed itemset, with
   the max support over its closed supersets — reconstructs the *full*
   frequent set, supports included.  This is the closure property the
@@ -19,6 +20,7 @@ Together these pin the miner-interchangeability contract that
 
 from itertools import combinations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -83,3 +85,11 @@ def test_charm_expansion_reconstructs_frequent_set(db, min_support):
 def test_closed_fpgrowth_expansion_reconstructs_frequent_set(db, min_support):
     full = fpgrowth(db, min_support).as_dict()
     assert expand_closed(closed_fpgrowth(db, min_support)) == full
+
+
+@pytest.mark.parametrize("miner", [apriori, fpgrowth, closed_fpgrowth, charm])
+def test_negative_item_ids_rejected(miner):
+    # A budget of zero would trip on the first emitted pattern, so the
+    # ValueError shows the check runs before any mining.
+    with pytest.raises(ValueError, match="item ids must be non-negative"):
+        miner([[-1, 0], [0], [1]], 1, max_patterns=0)
