@@ -89,6 +89,9 @@ EXIT_MISSING_INPUT = 3
 EXIT_SCHEMA_INVALID = 4
 EXIT_CORRUPT_CHECKPOINT = 5
 
+#: Pattern budget of each ``repro table 3|4|5`` mining run.
+_TABLE_BUDGET = 150_000
+
 
 def _load_transactions(source: str, scale: float) -> TransactionDataset:
     """A built-in dataset name, or a path to a .csv/.arff file."""
@@ -251,7 +254,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
         data,
         absolute_supports=supports,
         title=f"Table {args.number} ({name}, n={data.n_rows})",
-        pattern_budget=args.budget,
+        pattern_budget=_TABLE_BUDGET if args.budget is None else args.budget,
     )
     print(table.render())
     return 0
@@ -500,7 +503,8 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     print(
         f"{data.name:10s} {spec.variant:10s} "
         f"{100 * report.mean_accuracy:6.2f}% ± {100 * report.std_accuracy:.2f}  "
-        f"({result.n_patterns} mined, {result.n_selected} selected)"
+        f"(final fit on all rows: {result.n_patterns} mined, "
+        f"{result.n_selected} selected)"
     )
     print(f"artifacts in {result.out_dir}")
     return 0
@@ -921,6 +925,8 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .experiments.tables import SVM_VARIANTS
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description=(
@@ -1005,7 +1011,11 @@ def build_parser() -> argparse.ArgumentParser:
     table.add_argument("--datasets", nargs="*", default=None)
     table.add_argument("--folds", type=int, default=3)
     table.add_argument("--scale", type=float, default=0.5)
-    table.add_argument("--budget", type=int, default=150_000)
+    table.add_argument(
+        "--budget", type=int, default=None,
+        help="pattern budget per mining run, tables 3-5 only "
+             f"(default {_TABLE_BUDGET:,})",
+    )
     add_trace(table)
     table.set_defaults(handler=_cmd_table)
 
@@ -1164,8 +1174,8 @@ def build_parser() -> argparse.ArgumentParser:
         default="information_gain",
     )
     experiment.add_argument(
-        "--variant", default="Pat_FS",
-        help="model variant column (e.g. Pat_FS, Pat_All, Item_All)",
+        "--variant", choices=SVM_VARIANTS, default="Pat_FS",
+        help="model variant column (Item_RBF needs --model svm)",
     )
     experiment.add_argument("--model", choices=("svm", "c45"), default="svm")
     experiment.add_argument("--folds", type=int, default=3)
@@ -1390,6 +1400,13 @@ def main(argv: list[str] | None = None) -> int:
         # --condense only changes the sharded counting pass; accepting it
         # alone would alter the run fingerprint and nothing else.
         parser.error("--condense requires --shard-rows")
+    command = args.command
+    if command == "experiment" and (args.variant, args.model) == ("Item_RBF", "c45"):
+        parser.error("--variant Item_RBF is SVM-only; use --model svm")
+    if command == "table" and args.number in (1, 2) and args.budget is not None:
+        # Tables 1-2 mine inside CV folds under the registry settings;
+        # accepting a budget there would change nothing.
+        parser.error("--budget applies to tables 3-5 only")
     if getattr(args, "trace", None):
         return _run_traced(args, argv)
     return args.handler(args)

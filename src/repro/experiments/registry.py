@@ -6,6 +6,11 @@ configuration per dataset: a relative in-class ``min_support`` low enough to
 recover the planted combinations but high enough that mining stays
 tractable on the dataset's density (binary-arity wide datasets are the
 dense ones), plus the MMRFS coverage ``delta`` and a pattern length cap.
+
+:class:`ExperimentConfig` is the one definition of the pipeline settings;
+:func:`~repro.experiments.tables.make_variant` turns it into a pipeline,
+and :class:`~repro.runtime.experiment.ExperimentSpec` extends it with a
+run's identity.
 """
 
 from __future__ import annotations
@@ -17,12 +22,13 @@ __all__ = ["ExperimentConfig", "DATASET_CONFIGS", "config_for"]
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Mining/selection settings for one dataset."""
+    """Mining/selection settings of one pipeline (one dataset's defaults)."""
 
     min_support: float = 0.1
+    max_length: int | None = 5
+    max_patterns: int | None = 200_000
     delta: int = 3
-    max_length: int = 5
-    svm_c: float = 1.0
+    relevance: str = "information_gain"
 
 
 _DEFAULT = ExperimentConfig()

@@ -12,6 +12,7 @@ rendering.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from ..classifiers.base import Classifier
@@ -46,11 +47,21 @@ SVM_VARIANTS: tuple[str, ...] = (
 C45_VARIANTS: tuple[str, ...] = ("Item_All", "Item_FS", "Pat_All", "Pat_FS")
 
 
-def _classifier_factory(model: str, config: ExperimentConfig) -> Callable[[], Classifier]:
+#: Constructor arguments that shape each column's pipeline.
+_VARIANT_SHAPES: dict[str, dict] = {
+    "Item_All": dict(use_patterns=False),
+    "Item_FS": dict(use_patterns=False, select_items=True),
+    "Item_RBF": dict(use_patterns=False),
+    "Pat_All": dict(selection="none"),
+    "Pat_FS": dict(selection="mmrfs"),
+}
+
+
+def _classifier_factory(model: str) -> Callable[[], Classifier]:
     if model == "svm":
-        return lambda: LinearSVM(c=config.svm_c)
+        return LinearSVM
     if model == "c45":
-        return lambda: DecisionTree()
+        return DecisionTree
     raise ValueError(f"unknown model family {model!r} (use 'svm' or 'c45')")
 
 
@@ -62,41 +73,31 @@ def make_variant(
     """Pipeline factory for one column of Tables 1-2.
 
     ``variant`` is a paper column name; ``model`` is ``"svm"`` or ``"c45"``.
+    Every field of ``config`` reaches the pipeline, and every pipeline
+    degrades a guard-tripping class partition to items-only features
+    (``on_guard="items_only"``) instead of aborting.  An unknown variant
+    or model, or ``Item_RBF`` with ``c45``, raises ``ValueError`` here,
+    before any pipeline is built.
     """
-    base = _classifier_factory(model, config)
-    if variant == "Item_All":
-        return lambda: FrequentPatternClassifier(
-            use_patterns=False, classifier=base()
-        )
-    if variant == "Item_FS":
-        return lambda: FrequentPatternClassifier(
-            use_patterns=False, select_items=True, classifier=base()
-        )
+    base = _classifier_factory(model)
+    if variant not in _VARIANT_SHAPES:
+        raise ValueError(f"unknown variant {variant!r}")
     if variant == "Item_RBF":
         if model != "svm":
             raise ValueError("Item_RBF is an SVM-only variant")
         # gamma="auto" (1 / n_features) matches the LIBSVM default of the
         # paper's era; the RBF column is a baseline, not a tuned model.
-        return lambda: FrequentPatternClassifier(
-            use_patterns=False,
-            classifier=KernelSVM(kernel="rbf", gamma="auto", c=config.svm_c),
-        )
-    if variant == "Pat_All":
-        return lambda: FrequentPatternClassifier(
-            min_support=config.min_support,
-            selection="none",
-            max_length=config.max_length,
-            classifier=base(),
-        )
-    if variant == "Pat_FS":
-        return lambda: FrequentPatternClassifier(
-            min_support=config.min_support,
-            selection="mmrfs",
-            delta=config.delta,
-            max_length=config.max_length,
-            classifier=base(),
-        )
-    raise ValueError(f"unknown variant {variant!r}")
+        base = partial(KernelSVM, kernel="rbf", gamma="auto")
+    return lambda: FrequentPatternClassifier(
+        classifier=base(),
+        min_support=config.min_support,
+        max_length=config.max_length,
+        max_patterns=config.max_patterns,
+        delta=config.delta,
+        relevance=config.relevance,
+        on_guard="items_only",
+        **_VARIANT_SHAPES[variant],
+    )
 
 
 @dataclass

@@ -42,9 +42,31 @@ from ..selection.minsup import suggest_min_support
 from ..selection.mmrfs import SelectionResult, mmrfs, top_k_by_relevance
 from .transformer import PatternFeaturizer
 
-__all__ = ["FrequentPatternClassifier"]
+__all__ = ["FrequentPatternClassifier", "cap_candidates"]
 
 SelectionName = Literal["mmrfs", "topk", "none"]
+
+
+def cap_candidates(
+    patterns: list[Pattern], data: TransactionDataset, max_candidates: int | None
+) -> list[Pattern]:
+    """Keep the ``max_candidates`` most relevant patterns, in mined order.
+
+    On very dense data the closed pattern set can reach six figures;
+    feature selection only ever keeps the discriminative head of that
+    list (the theory of Section 3.1.2 bounds what the tail can
+    contribute), so a relevance pre-filter changes nothing downstream
+    while keeping MMRFS tractable.  Shared by
+    :meth:`FrequentPatternClassifier.fit` and the experiment driver's
+    final fit, so both see the same candidates.
+    """
+    if max_candidates is None or len(patterns) <= max_candidates:
+        return patterns
+    tables = batch_contingency_tables(patterns, data)
+    gains = information_gain_batch(tables.present, tables.absent)
+    keep = np.argsort(-gains, kind="stable")[:max_candidates]
+    keep_set = set(int(i) for i in keep)
+    return [p for i, p in enumerate(patterns) if i in keep_set]
 
 
 class FrequentPatternClassifier:
@@ -196,25 +218,6 @@ class FrequentPatternClassifier:
         self.selection_result_ = result
         return result.patterns
 
-    def _cap_candidates(
-        self, patterns: list[Pattern], data: TransactionDataset
-    ) -> list[Pattern]:
-        """Keep the ``max_candidates`` most relevant patterns.
-
-        On very dense data the closed pattern set can reach six figures;
-        feature selection only ever keeps the discriminative head of that
-        list (the theory of Section 3.1.2 bounds what the tail can
-        contribute), so a relevance pre-filter changes nothing downstream
-        while keeping MMRFS tractable.
-        """
-        if self.max_candidates is None or len(patterns) <= self.max_candidates:
-            return patterns
-        tables = batch_contingency_tables(patterns, data)
-        gains = information_gain_batch(tables.present, tables.absent)
-        keep = np.argsort(-gains, kind="stable")[: self.max_candidates]
-        keep_set = set(int(i) for i in keep)
-        return [p for i, p in enumerate(patterns) if i in keep_set]
-
     def _item_selection_mask(self, data: TransactionDataset) -> np.ndarray | None:
         """IG-based filter over single items (the Item_FS variant)."""
         if not self.select_items:
@@ -232,11 +235,18 @@ class FrequentPatternClassifier:
         transactions = self._as_transactions(data)
 
         with _obs.span(
-            "pipeline.fit", dataset=transactions.name, rows=transactions.n_rows
+            "pipeline.fit",
+            dataset=transactions.name,
+            rows=transactions.n_rows,
+            relevance=self.relevance,
+            delta=self.delta,
+            selection=self.selection,
+            on_guard=self.on_guard,
         ) as fit_span:
             selected: list[Pattern] = []
             if self.use_patterns:
                 self.resolved_min_support_ = self._resolve_min_support(transactions)
+                fit_span.set(min_support=self.resolved_min_support_)
                 mined = mine_class_patterns(
                     transactions,
                     min_support=self.resolved_min_support_,
@@ -246,8 +256,8 @@ class FrequentPatternClassifier:
                     n_jobs=self.n_jobs,
                     on_guard=self.on_guard,
                 )
-                self.mined_patterns_ = self._cap_candidates(
-                    mined.patterns, transactions
+                self.mined_patterns_ = cap_candidates(
+                    mined.patterns, transactions, self.max_candidates
                 )
                 with _obs.span("pipeline.select", strategy=self.selection):
                     selected = self._select(transactions)

@@ -1,17 +1,22 @@
 """The fault-tolerant, resumable end-to-end experiment driver.
 
-``repro experiment DATASET --out DIR`` runs the paper's full pipeline —
-per-class closed-pattern mining, MMRFS selection, cross-validated
-evaluation — as a sequence of *checkpointed stages* in a run directory::
+``repro experiment DATASET --out DIR`` runs the paper's full pipeline from
+one :class:`ExperimentSpec`: a *final fit on all rows* (per-class
+closed-pattern mining, the relevance cap, MMRFS) whose feature set is
+saved as artifacts, then cross-validated evaluation, where mining and
+selection run again inside every training fold.  Both are built by one
+:func:`~repro.experiments.tables.make_variant` call, so every setting the
+spec names reaches the fold fits.  The stages are checkpointed in a run
+directory::
 
     DIR/
       run.json         run identity: config fingerprint, spec, dataset hash
       cache/           content-addressed stage artifacts (ArtifactCache)
         mine_partition/<key>.json     one per class partition
-        select/<key>.json             the MMRFS outcome
+        select/<key>.json             the final fit's selection
         fold/<key>.json               one per outer CV fold
-      patterns.json    final artifact: merged mined patterns
-      selection.json   final artifact: the selected feature set
+      patterns.json    final fit: merged mined patterns
+      selection.json   final fit: the selected feature set
       report.json      final artifact: fold scores + summary (deterministic)
 
 ``--resume`` replays the same spec against the same directory: stages
@@ -26,8 +31,9 @@ fails with :class:`~repro.runtime.cache.CorruptArtifactError`.
 
 Failure handling within a run: process-pool worker deaths are retried
 (:data:`~repro.runtime.retry.DEFAULT_RETRY`), and partitions that trip
-the pattern-budget or wall-clock guard degrade to items-only features
-(``on_guard="items_only"``) instead of aborting the run.
+the pattern-budget guard degrade to items-only features
+(``on_guard="items_only"``) instead of aborting the run, in the final fit
+and in every fold fit alike.
 
 The driver plants ``stage:<name>`` fault points after each stage
 completes, which is how the crash/resume test suite stages mid-run power
@@ -43,6 +49,9 @@ from typing import Any
 
 from ..datasets.transactions import TransactionDataset
 from ..eval.cross_validation import CVReport, FoldScore, cross_validate_pipeline
+from ..experiments.registry import ExperimentConfig
+from ..experiments.tables import make_variant
+from ..features.pipeline import cap_candidates
 from ..io.serialize import (
     save_patterns,
     save_selection,
@@ -50,8 +59,9 @@ from ..io.serialize import (
     selection_to_json,
 )
 from ..mining.generation import mine_class_patterns
+from ..mining.itemsets import MiningResult
 from ..obs import core as _obs
-from ..selection.mmrfs import mmrfs
+from ..selection.mmrfs import mmrfs, top_k_by_relevance
 from ..testing import faults as _faults
 from .cache import ArtifactCache, fingerprint
 from .retry import DEFAULT_RETRY, RetryPolicy
@@ -81,9 +91,14 @@ class ResumeMismatchError(ResumeError):
     """The run directory belongs to a different spec or dataset."""
 
 
-@dataclass(frozen=True)
-class ExperimentSpec:
+@dataclass(frozen=True, kw_only=True)
+class ExperimentSpec(ExperimentConfig):
     """Everything that determines an experiment's outcome.
+
+    The pipeline settings are the inherited :class:`ExperimentConfig`
+    fields; the spec adds the run's identity and two out-of-core knobs.
+    The final fit and every fold fit are built from it by one
+    :func:`~repro.experiments.tables.make_variant` call.
 
     The spec (plus the dataset's content hash) is the run's fingerprint:
     two runs with equal fingerprints produce byte-identical artifacts, so
@@ -92,21 +107,14 @@ class ExperimentSpec:
 
     dataset: str
     scale: float = 1.0
-    min_support: float = 0.1
-    miner: str = "closed"
-    max_length: int | None = 5
-    max_patterns: int | None = 200_000
-    min_length: int = 2
-    delta: int = 3
-    relevance: str = "information_gain"
     variant: str = "Pat_FS"
     model: str = "svm"
     folds: int = 3
     seed: int = 0
-    time_limit: float | None = None
-    #: Rows per mmap shard for out-of-core mining; ``None`` keeps the
-    #: in-memory batch path.  The two paths produce identical artifacts
-    #: (property-tested), so this is purely a memory/scale knob.
+    #: Rows per mmap shard for the final fit's out-of-core mining;
+    #: ``None`` keeps the in-memory batch path.  The two paths produce
+    #: identical artifacts (property-tested), so this is purely a
+    #: memory/scale knob.
     shard_rows: int | None = None
     #: Non-derivable-itemset condensation for the sharded counting pass.
     condense: bool = False
@@ -118,6 +126,7 @@ class ExperimentResult:
 
     out_dir: Path
     run_fingerprint: str
+    #: Patterns mined and selected by the final fit on all rows.
     n_patterns: int
     n_selected: int
     cv: CVReport
@@ -243,7 +252,10 @@ def run_experiment(
     Without ``resume``, any artifacts from a previous run in ``out_dir``
     are cleared first; with it, the run manifest is verified against this
     run's fingerprint and completed stages are restored from the cache.
+    An invalid ``spec.variant``/``spec.model`` raises ``ValueError``
+    before anything is written.
     """
+    factory = make_variant(spec.variant, spec.model, spec)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     key = run_fingerprint(spec, data)
@@ -263,9 +275,16 @@ def run_experiment(
         dataset=data.name,
         variant=spec.variant,
         resumed=resume,
+        fingerprint=key,
     ):
+        # The final fit on all rows computes the feature set that
+        # ``factory().fit(data)`` would, from the same pipeline object,
+        # but through checkpointed stages and without training a model.
+        final = factory()
         # -- stage 1: per-class mining (partition-level checkpoints) ----
-        if spec.shard_rows is not None:
+        if not final.use_patterns:
+            mined = MiningResult([], min_support=0, n_rows=data.n_rows)
+        elif spec.shard_rows is not None:
             # Out-of-core path: rows live in mmap shard files opened
             # zero-copy by the workers; per-shard artifacts go through
             # the same cache, so resume semantics are unchanged.
@@ -277,30 +296,27 @@ def run_experiment(
             )
             mined = mine_sharded(
                 shard_set,
-                min_support=spec.min_support,
-                miner=spec.miner,
-                min_length=spec.min_length,
-                max_length=spec.max_length,
-                max_patterns=spec.max_patterns,
+                min_support=final.min_support,
+                miner=final.miner,
+                max_length=final.max_length,
+                max_patterns=final.max_patterns,
                 n_jobs=n_jobs,
                 retry=retry,
                 cache=cache,
                 condense=spec.condense,
-                on_guard="items_only",
+                on_guard=final.on_guard,
             )
         else:
             mined = mine_class_patterns(
                 data,
-                min_support=spec.min_support,
-                miner=spec.miner,
-                min_length=spec.min_length,
-                max_length=spec.max_length,
-                max_patterns=spec.max_patterns,
+                min_support=final.min_support,
+                miner=final.miner,
+                max_length=final.max_length,
+                max_patterns=final.max_patterns,
                 n_jobs=n_jobs,
                 retry=retry,
                 cache=cache,
-                on_guard="items_only",
-                time_limit=spec.time_limit,
+                on_guard=final.on_guard,
             )
         save_patterns(mined, out_dir / "patterns.json", catalog=data.catalog)
         _faults.fault_point("stage", "mine")
@@ -312,32 +328,31 @@ def run_experiment(
             selection = selection_from_json(payload)
             _obs.event(
                 "stage_skipped",
-                "selection: restored MMRFS outcome from cache",
+                "selection: restored final-fit selection from cache",
                 stage="select",
             )
         else:
-            selection = mmrfs(
-                mined.patterns,
-                data,
-                relevance=spec.relevance,
-                delta=spec.delta,
+            candidates = cap_candidates(
+                mined.patterns, data, final.max_candidates
             )
+            if final.selection == "mmrfs":
+                selection = mmrfs(
+                    candidates,
+                    data,
+                    relevance=final.relevance,
+                    delta=final.delta,
+                )
+            else:
+                # selection="none" (Pat_All): every candidate is a feature;
+                # selection.json lists them by relevance.
+                selection = top_k_by_relevance(
+                    candidates, data, k=len(candidates), relevance=final.relevance
+                )
             cache.put("select", select_key, selection_to_json(selection))
         save_selection(selection, out_dir / "selection.json", catalog=data.catalog)
         _faults.fault_point("stage", "select")
 
         # -- stage 3: cross-validated evaluation (fold checkpoints) ------
-        from ..experiments.registry import ExperimentConfig
-        from ..experiments.tables import make_variant
-
-        config = ExperimentConfig(
-            min_support=spec.min_support,
-            delta=spec.delta,
-            max_length=spec.max_length
-            if spec.max_length is not None
-            else ExperimentConfig().max_length,
-        )
-        factory = make_variant(spec.variant, spec.model, config)
         report = cross_validate_pipeline(
             factory,
             data,

@@ -42,6 +42,20 @@ class TestExperimentCommand:
         assert "--condense requires --shard-rows" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--variant", "Nope"], ["--variant", "Item_RBF", "--model", "c45"]],
+    )
+    def test_invalid_variant_is_a_usage_error_before_mining(
+        self, tmp_path, capsys, flags
+    ):
+        out = tmp_path / "run"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["experiment", "austral", "--out", str(out), *flags])
+        assert excinfo.value.code == 2
+        assert "--variant" in capsys.readouterr().err
+        assert not (out / "patterns.json").exists()
+
 
 class TestDatasetsCommand:
     def test_lists_all(self):
@@ -117,6 +131,13 @@ class TestTableCommand:
         output = run_cli("table", "3", "--scale", "0.08", "--budget", "5000")
         assert "min_sup" in output
         assert "#Patterns" in output
+
+    @pytest.mark.parametrize("number", ["1", "2"])
+    def test_budget_with_accuracy_table_is_a_usage_error(self, capsys, number):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["table", number, "--datasets", "iris", "--budget", "10"])
+        assert excinfo.value.code == 2
+        assert "--budget applies to tables 3-5 only" in capsys.readouterr().err
 
     def test_accuracy_table_tiny_battery(self):
         output = run_cli(
