@@ -18,15 +18,10 @@ from repro.datasets import TransactionDataset, load_uci
 from repro.datasets.synthetic import generate
 from repro.datasets.uci import SCALABILITY_SPECS
 from repro.measures import theta_star
-from repro.mining import (
-    apriori,
-    charm,
-    closed_fpgrowth,
-    fpgrowth,
-    mine_class_patterns,
-)
+from repro.mining import closed_fpgrowth, fpgrowth, mine_class_patterns
 from repro.selection import mmrfs, suggest_min_support
 from repro.selection.redundancy import batch_redundancy, batch_redundancy_packed
+from repro.testing.oracles import apriori, charm
 
 
 @pytest.fixture(scope="module")

@@ -12,9 +12,9 @@ Run:  python examples/graph_classification.py
 import numpy as np
 
 from repro.classifiers import LinearSVM
-from repro.datasets import GraphSpec, generate_graphs
+from repro.datasets.graphs import GraphSpec, generate_graphs
 from repro.eval import stratified_kfold
-from repro.features import GraphPatternClassifier
+from repro.features.graph_pipeline import GraphPatternClassifier
 
 
 def main() -> None:

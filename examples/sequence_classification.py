@@ -12,9 +12,9 @@ Run:  python examples/sequence_classification.py
 import numpy as np
 
 from repro.classifiers import LinearSVM
-from repro.datasets import SequenceSpec, generate_sequences
+from repro.datasets.sequences import SequenceSpec, generate_sequences
 from repro.eval import stratified_kfold
-from repro.features import SequencePatternClassifier
+from repro.features.sequence_pipeline import SequencePatternClassifier
 
 
 def main() -> None:

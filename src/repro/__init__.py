@@ -7,6 +7,10 @@ algorithm — plus every substrate the paper's evaluation depends on (frequent/
 closed itemset miners, SVM and C4.5 classifiers, associative-classification
 baselines, UCI-shaped benchmark data and an evaluation harness).
 
+The sequence and graph extensions (``prefixspan``/``gspan`` and their
+dataset and pipeline modules) load only when imported by full path; the
+graph ones need the ``graphs`` extra (networkx).
+
 Quick start::
 
     from repro import FrequentPatternClassifier, load_uci, TransactionDataset
@@ -21,7 +25,7 @@ Package map:
 * ``repro.core``       — the paper-facing API in one import.
 * ``repro.datasets``   — schema, transaction encoding, benchmark generators.
 * ``repro.discretize`` — equal-width/equal-frequency/MDLP discretization.
-* ``repro.mining``     — Apriori, FP-growth, closed miners (LCM-style + CHARM).
+* ``repro.mining``     — FP-growth and the LCM-style closed miner.
 * ``repro.measures``   — entropy, IG, Fisher score, the support bounds.
 * ``repro.selection``  — MMRFS (Algorithm 1) and the min_sup strategy.
 * ``repro.features``   — the B^d -> B^d' mapping and the full pipeline.
@@ -29,6 +33,8 @@ Package map:
 * ``repro.baselines``  — CBA, CMAR, HARMONY associative classifiers.
 * ``repro.eval``       — stratified CV, metrics, model selection.
 * ``repro.experiments``— drivers regenerating every paper table and figure.
+* ``repro.testing``    — fault injection; ``repro.testing.oracles``, the
+  reference miners the differential tests check the production miners by.
 """
 
 from .classifiers import DecisionTree, KernelSVM, LinearSVM

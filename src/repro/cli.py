@@ -999,8 +999,9 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument("--folds", type=int, default=3)
     evaluate.add_argument("--seed", type=int, default=0)
     evaluate.add_argument(
-        "--variants", nargs="+",
+        "--variants", nargs="+", choices=SVM_VARIANTS,
         default=["Item_All", "Pat_All", "Pat_FS"],
+        help="model variant columns (Item_RBF needs --model svm)",
     )
     add_jobs(evaluate)
     add_trace(evaluate)
@@ -1403,6 +1404,8 @@ def main(argv: list[str] | None = None) -> int:
     command = args.command
     if command == "experiment" and (args.variant, args.model) == ("Item_RBF", "c45"):
         parser.error("--variant Item_RBF is SVM-only; use --model svm")
+    if command == "evaluate" and args.model == "c45" and "Item_RBF" in args.variants:
+        parser.error("--variants Item_RBF is SVM-only; use --model svm")
     if command == "table" and args.number in (1, 2) and args.budget is not None:
         # Tables 1-2 mine inside CV folds under the registry settings;
         # accepting a budget there would change nothing.

@@ -1,38 +1,24 @@
-"""Dataset substrate: schemas, transaction encoding and benchmark generators."""
+"""Dataset substrate: schemas, transaction encoding and benchmark generators.
+
+The sequence (:mod:`repro.datasets.sequences`) and graph
+(:mod:`repro.datasets.graphs`, needs the ``graphs`` extra) generators load
+on their own import.
+"""
 
 from .schema import Attribute, Dataset
-from .graphs import GraphDataset, GraphSpec, generate_graphs
-from .sequences import SequenceDataset, SequenceSpec, generate_sequences
-from .synthetic import PlantedStructure, SyntheticSpec, generate, plant_structure
+from .synthetic import SyntheticSpec, generate, plant_structure
 from .transactions import ItemCatalog, TransactionDataset
-from .uci import (
-    SCALABILITY_NAMES,
-    SCALABILITY_SPECS,
-    UCI_SPECS,
-    UCI_TABLE1_NAMES,
-    available_datasets,
-    load_uci,
-)
+from .uci import UCI_TABLE1_NAMES, available_datasets, load_uci
 
 __all__ = [
     "Attribute",
     "Dataset",
     "ItemCatalog",
     "TransactionDataset",
-    "PlantedStructure",
     "SyntheticSpec",
     "generate",
     "plant_structure",
-    "GraphDataset",
-    "GraphSpec",
-    "generate_graphs",
-    "SequenceDataset",
-    "SequenceSpec",
-    "generate_sequences",
     "load_uci",
     "available_datasets",
-    "UCI_SPECS",
-    "SCALABILITY_SPECS",
     "UCI_TABLE1_NAMES",
-    "SCALABILITY_NAMES",
 ]

@@ -1,13 +1,14 @@
-"""Feature mapping and the end-to-end pattern-based classifiers."""
+"""Feature mapping and the end-to-end pattern-based classifier.
 
-from .graph_pipeline import GraphPatternClassifier
+The sequence and graph classifiers live in
+:mod:`repro.features.sequence_pipeline` and
+:mod:`repro.features.graph_pipeline` and load on their own import.
+"""
+
 from .pipeline import FrequentPatternClassifier
-from .sequence_pipeline import SequencePatternClassifier
 from .transformer import PatternFeaturizer
 
 __all__ = [
     "PatternFeaturizer",
     "FrequentPatternClassifier",
-    "GraphPatternClassifier",
-    "SequencePatternClassifier",
 ]

@@ -1,52 +1,32 @@
-"""Frequent pattern mining substrate: Apriori, FP-growth, closed miners."""
+"""Frequent pattern mining: FP-growth and the closed miner behind the pipeline.
 
-from .apriori import apriori
-from .charm import charm
-from .closed import brute_force_closed, closed_fpgrowth, occurrence_matrix
+Only the miners the paper's pipeline runs are re-exported here.  The
+sequence (:mod:`repro.mining.prefixspan`) and graph
+(:mod:`repro.mining.gspan`) extensions load on their own import, and the
+reference miners the differential tests check against (Apriori, CHARM,
+the maximal miner, brute force) live in :mod:`repro.testing.oracles`.
+"""
+
+from .closed import closed_fpgrowth
 from .fpgrowth import fpgrowth
-from .fptree import FPNode, FPTree
-from .condense import deduction_bounds, partition_derivable
+from .fptree import FPTree
 from .generation import (
     filter_by_information_gain,
     mine_class_patterns,
     recount_supports,
 )
-from .gspan import GraphPattern, contains_subgraph, gspan
-from .guards import GuardedMiningReport, MiningTimeLimitExceeded, guarded_mine
-from .itemsets import MiningResult, Pattern, PatternBudgetExceeded, canonical
-from .maximal import brute_force_maximal, maximal_frequent
-from .prefixspan import SequencePattern, is_subsequence, prefixspan
-from .sharded import ShardedMiningResult, mine_sharded
+from .guards import MiningTimeLimitExceeded, guarded_mine
+from .itemsets import Pattern, PatternBudgetExceeded
 
 __all__ = [
-    "apriori",
     "fpgrowth",
     "closed_fpgrowth",
-    "charm",
-    "brute_force_closed",
-    "occurrence_matrix",
     "FPTree",
-    "FPNode",
     "Pattern",
-    "MiningResult",
     "PatternBudgetExceeded",
-    "canonical",
-    "maximal_frequent",
-    "brute_force_maximal",
     "mine_class_patterns",
     "recount_supports",
     "filter_by_information_gain",
-    "mine_sharded",
-    "ShardedMiningResult",
-    "deduction_bounds",
-    "partition_derivable",
     "guarded_mine",
-    "GuardedMiningReport",
     "MiningTimeLimitExceeded",
-    "gspan",
-    "GraphPattern",
-    "contains_subgraph",
-    "prefixspan",
-    "SequencePattern",
-    "is_subsequence",
 ]

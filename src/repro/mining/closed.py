@@ -32,7 +32,7 @@ from ..core.bitset import BitMatrix, intersection_counts, packed_ones
 from ..obs import core as _obs
 from .itemsets import MiningResult, Pattern, PatternBudgetExceeded, check_item_ids
 
-__all__ = ["closed_fpgrowth", "occurrence_matrix", "brute_force_closed"]
+__all__ = ["closed_fpgrowth", "occurrence_matrix"]
 
 
 def occurrence_matrix(
@@ -253,27 +253,3 @@ def _tally(stats: dict, before: tuple, after: tuple) -> None:
     stats["support_pruned"] += scanned - checks
     stats["closure_checks"] += checks
     stats["prefix_pruned"] += after[2] - before[2]
-
-
-def brute_force_closed(
-    transactions: Sequence[Sequence[int]], min_support: int
-) -> MiningResult:
-    """Reference closed miner: enumerate frequent sets, filter non-closed.
-
-    Exponential; only for cross-checking the fast miners on tiny data.
-    """
-    from .apriori import apriori
-
-    result = apriori(transactions, min_support)
-    support = result.as_dict()
-    closed: list[Pattern] = []
-    for items, sup in support.items():
-        itemset = set(items)
-        is_closed = not any(
-            sup == other_sup and itemset < set(other_items)
-            for other_items, other_sup in support.items()
-        )
-        if is_closed:
-            closed.append(Pattern(items=items, support=sup))
-    closed.sort(key=lambda p: (p.length, p.items))
-    return MiningResult(closed, min_support=min_support, n_rows=len(transactions))

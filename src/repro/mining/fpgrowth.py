@@ -31,8 +31,9 @@ def fpgrowth(
 ) -> MiningResult:
     """Mine all frequent itemsets with absolute support >= ``min_support``.
 
-    Parameters mirror :func:`repro.mining.apriori.apriori`; the two are
-    interchangeable and property-tested to agree.
+    Parameters mirror the Apriori oracle
+    (:func:`repro.testing.oracles.apriori`); the two are property-tested to
+    agree.
 
     Raises
     ------

@@ -156,8 +156,9 @@ def _mine_partition(
             )
             partition_span.set(degraded=guard)
             _obs.warn(
-                f"class partition {label}: mining tripped the {guard} guard "
-                f"({exc}); degrading this partition to items-only features",
+                f"class partition {label} ({len(transactions)} rows): mining "
+                f"tripped the {guard} guard ({exc}); degrading this partition "
+                "to items-only features",
                 partition=int(label),
                 guard=guard,
             )

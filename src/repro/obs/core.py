@@ -38,6 +38,7 @@ from the rest of ``repro``.
 from __future__ import annotations
 
 import os
+import sys
 import threading
 import time
 import warnings
@@ -470,7 +471,14 @@ def warn(message: str, **attributes: Any) -> None:
 
     Always raises a Python :class:`RuntimeWarning` (so the condition is
     visible without instrumentation) and additionally records a
-    ``warning`` event when a session is active.
+    ``warning`` event when a session is active.  No once-per-location
+    memo: the same text recurs in separate fits (a partition degrading in
+    every CV fold), and each recurrence must reach stderr.
     """
-    warnings.warn(message, RuntimeWarning, stacklevel=3)
+    caller = sys._getframe(1)
+    caller = caller.f_back or caller  # the frame stacklevel=3 would blame
+    warnings.warn_explicit(
+        message, RuntimeWarning, caller.f_code.co_filename, caller.f_lineno,
+        module=caller.f_globals.get("__name__"),
+    )
     event("warning", message, **attributes)

@@ -5,6 +5,10 @@ the robustness test suites drive; it lives in the package (not under
 ``tests/``) because its injection points are compiled into production
 code paths and its environment-variable protocol must be importable from
 process-pool workers and CLI subprocesses alike.
+
+:mod:`repro.testing.oracles` holds the reference miners the differential
+suites check production mining against; it is not imported here, so the
+runtime never loads it.
 """
 
 from .faults import (

@@ -114,6 +114,22 @@ class TestEvaluateCommand:
         assert "Pat_FS" in output
         assert "%" in output
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--variants", "Nope"], ["--model", "c45", "--variants", "Item_RBF"]],
+    )
+    def test_invalid_variant_is_a_usage_error_before_loading(
+        self, monkeypatch, capsys, flags
+    ):
+        def no_load(*args, **kwargs):
+            raise AssertionError("dataset loaded before the usage check")
+
+        monkeypatch.setattr("repro.cli.load_uci", no_load)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["evaluate", "iris", *flags])
+        assert excinfo.value.code == 2
+        assert "--variants" in capsys.readouterr().err
+
 
 class TestFigureCommand:
     def test_figure2(self):

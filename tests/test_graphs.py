@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from repro.classifiers import DecisionTree
-from repro.datasets import GraphDataset, GraphSpec, generate_graphs
-from repro.features import GraphPatternClassifier
-from repro.mining import PatternBudgetExceeded, contains_subgraph, gspan
+from repro.datasets.graphs import GraphDataset, GraphSpec, generate_graphs
+from repro.features.graph_pipeline import GraphPatternClassifier
+from repro.mining import PatternBudgetExceeded
+from repro.mining.gspan import contains_subgraph, gspan
 
 
 def labelled_graph(nodes, edges):

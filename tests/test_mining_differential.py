@@ -24,7 +24,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.mining import apriori, charm, closed_fpgrowth, fpgrowth
+from repro.mining import closed_fpgrowth, fpgrowth
+from repro.testing.oracles import apriori, charm
 
 DIFFERENTIAL_EXAMPLES = 200
 

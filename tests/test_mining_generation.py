@@ -7,14 +7,13 @@ import pytest
 from repro.mining import (
     MiningTimeLimitExceeded,
     PatternBudgetExceeded,
-    apriori,
-    charm,
     closed_fpgrowth,
     fpgrowth,
     guarded_mine,
     mine_class_patterns,
     recount_supports,
 )
+from repro.testing.oracles import apriori, charm
 
 ALL_MINERS = [apriori, fpgrowth, closed_fpgrowth, charm]
 

@@ -4,13 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.mining import (
-    PatternBudgetExceeded,
-    brute_force_maximal,
-    closed_fpgrowth,
-    fpgrowth,
-    maximal_frequent,
-)
+from repro.mining import PatternBudgetExceeded, closed_fpgrowth, fpgrowth
+from repro.testing.oracles import brute_force_maximal, maximal_frequent
 
 WEATHER = [
     (0, 3, 5),

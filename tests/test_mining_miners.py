@@ -19,12 +19,10 @@ from hypothesis import strategies as st
 from repro.mining import (
     Pattern,
     PatternBudgetExceeded,
-    apriori,
-    brute_force_closed,
-    charm,
     closed_fpgrowth,
     fpgrowth,
 )
+from repro.testing.oracles import apriori, brute_force_closed, charm
 
 WEATHER = [
     (0, 3, 5),

@@ -16,8 +16,6 @@ import pytest
 from repro.core import parallel as parallel_mod
 from repro.core.parallel import parallel_map
 from repro.datasets.transactions import TransactionDataset
-from repro.mining.apriori import apriori
-from repro.mining.charm import charm
 from repro.mining.closed import closed_fpgrowth
 from repro.mining.fpgrowth import fpgrowth
 from repro.mining.generation import mine_class_patterns
@@ -26,6 +24,7 @@ from repro.mining.itemsets import Pattern, PatternBudgetExceeded
 from repro.obs import core as obs_core
 from repro.obs.core import session
 from repro.selection.mmrfs import mmrfs
+from repro.testing.oracles import apriori, charm
 
 # Hand-computable 5-transaction dataset (items 0, 1, 2), min_support = 2:
 #   level 1: 3 candidates (items 0, 1, 2), supports 4/3/3 -> all frequent

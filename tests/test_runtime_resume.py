@@ -201,6 +201,43 @@ class TestGracefulDegradation:
         run_experiment(planted_transactions, spec, b, resume=True)
         assert _artifact_bytes(a) == _artifact_bytes(b)
 
+    def test_every_fold_budget_trip_reaches_stderr(self, tmp_path):
+        """Under Python's default warning filter, each (fit, partition) trip
+        prints its own line, although every fold degrades the same partition
+        with the same message."""
+        script = (
+            "import sys\n"
+            "from repro.datasets import TransactionDataset, load_uci\n"
+            "from repro.obs.core import session\n"
+            "from repro.runtime import ExperimentSpec, run_experiment\n"
+            "data = TransactionDataset.from_dataset(load_uci('iris'))\n"
+            "spec = ExperimentSpec(dataset='iris', folds=3, max_patterns=1)\n"
+            "with session() as sess:\n"
+            "    run_experiment(data, spec, sys.argv[1])\n"
+            "print(sum(1 for s in sess.spans if s['name'] == 'mining.partition'\n"
+            "          and s['attrs'].get('degraded') == 'budget'))\n"
+        )
+        env = {
+            k: v for k, v in os.environ.items()
+            if k not in ("REPRO_FAULTS", "PYTHONWARNINGS")
+        }
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "run")],
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        tripped = int(proc.stdout.split()[-1])
+        # 3 folds + the final fit, each tripping on all 3 iris classes
+        assert tripped == 4 * 3
+        lines = [
+            line for line in proc.stderr.splitlines()
+            if "RuntimeWarning" in line and "tripped the budget guard" in line
+        ]
+        assert len(lines) == tripped
+
     def test_default_guard_still_raises(self, planted_transactions):
         from repro.mining.itemsets import PatternBudgetExceeded
 

@@ -6,9 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.classifiers import LinearSVM
-from repro.datasets import SequenceDataset, SequenceSpec, generate_sequences
-from repro.features import SequencePatternClassifier
-from repro.mining import PatternBudgetExceeded, is_subsequence, prefixspan
+from repro.datasets.sequences import (
+    SequenceDataset,
+    SequenceSpec,
+    generate_sequences,
+)
+from repro.features.sequence_pipeline import SequencePatternClassifier
+from repro.mining import PatternBudgetExceeded
+from repro.mining.prefixspan import is_subsequence, prefixspan
 
 
 def brute_force_subsequences(sequences, min_support, max_length=4):
